@@ -204,23 +204,6 @@ class EngineParity(Rule):
                 yield self._missing(event_entries[0], field,
                                     f"`{entry.name}`", "event")
 
-        # the hybrid planner's whole-entry surface is a superset of the
-        # event surface by construction (its event segments run the exact
-        # loop), so its *batch-segment booking* is held to the clean batch
-        # engine's booking surface separately: a counter dropped from one
-        # chunk-booking site but not the other is a seam-parity break
-        seg_entries = _find_entries(project, "_batch_segment")
-        book_entries = _find_entries(project, "_apply_classification")
-        if seg_entries and book_entries:
-            seg = self._surface(project, seg_entries, _result_mutations)
-            book = self._surface(project, book_entries, _result_mutations)
-            for field in sorted(book - seg):
-                yield self._missing(seg_entries[0], field,
-                                    "clean batch booking", "hybrid chunk booking")
-            for field in sorted(seg - book):
-                yield self._missing(book_entries[0], field,
-                                    "hybrid chunk booking", "clean batch booking")
-
     # -- group "device": FaultyDevice counters across _io/_io_batch --------
 
     def _device_group(self, project: ProjectContext) -> Iterator[Finding]:

@@ -30,6 +30,8 @@ class ExperimentResult:
     #: headline scalar metrics (e.g. {"max_speedup_rdma": 2.5})
     metrics: dict[str, float] = field(default_factory=dict)
     notes: str = ""
+    #: run bookkeeping that may vary with cache temperature; never rendered
+    telemetry: dict[str, float] = field(default_factory=dict)
 
     def render(self) -> str:
         """Fixed-width text table with title and metrics."""

@@ -8,10 +8,9 @@ local-memory budget, which turns the paper's far-memory-ratio sweeps
 (Fig 15's SLO curves, the console's minimum-hot-size estimate) into O(1)
 lookups instead of re-simulation.
 
-Two kernels compute the same exact distances, selected by the
-``REPRO_REUSE_KERNEL`` environment variable:
+Two kernels compute the same exact distances:
 
-``vector`` (default)
+``vector`` (behind :func:`reuse_distances` and :func:`reuse_histogram`)
     Offline divide-and-conquer over numpy arrays.  With ``prev[t]`` the
     previous access to ``pages[t]``, the distance of a warm access is::
 
@@ -31,17 +30,16 @@ Two kernels compute the same exact distances, selected by the
 
 ``fenwick``
     The classic per-access Fenwick-tree loop, O(n log n) in pure Python.
-    Kept as the independent reference implementation the equivalence tests
-    compare against.  Measured ~210 k accesses/s at 1 M accesses (~4.7 s)
-    — the vectorized kernel is ~12× faster there.
+    The vector kernel falls back to it for traces long enough to overflow
+    its packed int64 keys, and it is the independent reference the
+    equivalence tests compare against.  Measured ~210 k accesses/s at
+    1 M accesses (~4.7 s) — the vectorized kernel is ~12× faster there.
 
 :func:`reuse_histogram` feeds :class:`MissRatioCurve` without ever
 materializing the full per-access distance array.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -54,9 +52,6 @@ COLD = np.iinfo(np.int64).max
 
 #: Bumped whenever kernel output could change; part of MRC cache keys.
 KERNEL_VERSION = 2
-
-#: Environment variable selecting the distance kernel.
-KERNEL_ENV = "REPRO_REUSE_KERNEL"
 
 #: Merge levels 0..3 use direct broadcast compares; sorting machinery only
 #: pays off once rows are at least 2 * 2**_DIRECT_LEVELS wide.
@@ -72,15 +67,6 @@ def _validated(pages: np.ndarray) -> np.ndarray:
     return pages
 
 
-def _kernel() -> str:
-    kernel = os.environ.get(KERNEL_ENV, "vector")
-    if kernel not in ("vector", "fenwick"):
-        raise TraceError(
-            f"unknown {KERNEL_ENV}={kernel!r}; expected 'vector' or 'fenwick'"
-        )
-    return kernel
-
-
 def reuse_distances(pages: np.ndarray) -> np.ndarray:
     """Exact LRU stack distance of every access in ``pages``.
 
@@ -94,10 +80,7 @@ def reuse_distances(pages: np.ndarray) -> np.ndarray:
     numpy.ndarray
         int64 array of the same length; ``COLD`` marks first touches.
     """
-    pages = _validated(pages)
-    if _kernel() == "fenwick":
-        return _reuse_distances_fenwick(pages)
-    return _reuse_distances_vector(pages)
+    return _reuse_distances_vector(_validated(pages))
 
 
 def reuse_histogram(pages: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -105,16 +88,11 @@ def reuse_histogram(pages: np.ndarray) -> tuple[np.ndarray, int, int]:
 
     Returns ``(hist, cold_misses, n_accesses)`` where ``hist[d]`` counts
     warm accesses with stack distance exactly ``d`` (``hist`` has at least
-    one bin).  Bit-identical to binning :func:`reuse_distances` output,
-    for either kernel.
+    one bin).  Bit-identical to binning :func:`reuse_distances` output.
     """
     pages = _validated(pages)
     n = pages.shape[0]
-    if _kernel() == "fenwick":
-        distances = _reuse_distances_fenwick(pages)
-        warm = distances[distances != COLD]
-    else:
-        warm = _warm_distances_vector(pages)
+    warm = _warm_distances_vector(pages)
     hist = np.bincount(warm) if warm.size else np.zeros(1, dtype=np.int64)
     return hist, n - int(warm.size), n
 

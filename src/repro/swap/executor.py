@@ -20,9 +20,7 @@ exists for three reasons:
 
 Cost model at this layer: each *blocking* fault pays the kernel fault cost
 plus the backend's DES store/load (device channels, media pipe, PCIe slot,
-root complex all contended); prefetched pages ride along batched.  For
-tractability the executor walks traces of up to a few hundred thousand
-accesses; use the analytic layer for sweeps.
+root complex all contended); prefetched pages ride along batched.
 """
 
 from __future__ import annotations
@@ -38,13 +36,20 @@ from repro.errors import (
     SanitizerError,
     TransientDeviceError,
 )
+from repro.faults.plan import merge_spans
 from repro.mem.lru import ActiveInactiveLRU
 from repro.mem.page import PageKind, PageOp
 from repro.simcore import OnlineStats, Simulator, TimeSeries
 from repro.swap.backend import build_backend_module
 from repro.swap.frontend import SwapFrontend
 from repro.swap.pathmodel import FAULT_COST, SwapConfig
-from repro.swap.replay import REPLAY_ENV, replay_run, replay_run_multi
+from repro.swap.replay import (
+    REPLAY_ENV,
+    _tenant_group,
+    replay_run,
+    replay_run_multi,
+    stock_batch_path,
+)
 from repro.trace.schema import PageTrace
 from repro.units import usec
 
@@ -55,11 +60,14 @@ __all__ = ["RetryPolicy", "SwapExecutionResult", "SwapExecutor", "run_tenants",
 #: every this-many accesses of the event-level loop.
 _PROGRESS_STRIDE = 256
 
-#: Sentinel for :meth:`SwapExecutor._span_proc`'s ``switched0``: capture the
-#: failover switch timestamp at generator entry.  Multi-slice callers pass
-#: their span-entry value instead so a switch completing in an earlier slice
-#: still stops a later one.
-_CAPTURE = object()
+def _replay_mode() -> str:
+    """The validated ``REPRO_REPLAY`` setting, ``batch`` or ``event``."""
+    mode = os.environ.get(REPLAY_ENV, "batch")
+    if mode not in ("batch", "event"):
+        raise ConfigurationError(
+            f"unknown {REPLAY_ENV}={mode!r}; expected 'batch' or 'event'"
+        )
+    return mode
 
 
 @dataclass(frozen=True)
@@ -202,100 +210,65 @@ class SwapExecutor:
         self.health_check_interval = health_check_interval
         self.migrate_on_fault = True
 
-    def _fault_injected(self) -> bool:
-        """Whether any registered module wraps a device with *live* windows.
-
-        A plan whose every window has already elapsed (``end <= now``) can
-        never perturb the run, so it does not cost batch eligibility.
-        """
-        now = self.sim.now
-        for name in self.frontend.backends:
+    def live_hazards(self, backends=None) -> list[tuple[float, float]]:
+        """Merged fault spans still live now (``end > now``) on the active
+        backend's device, or on the devices of ``backends``; an elapsed
+        window can never perturb the run."""
+        if backends is None:
+            backends = (self.frontend.active_backend,)
+        spans: list[tuple[float, float]] = []
+        for name in backends:
             plan = getattr(self.frontend.module(name).device, "fault_plan", None)
-            if plan is not None and plan and plan.live_spans(now):
-                return True
-        return False
+            if plan:
+                spans += plan.live_spans(self.sim.now)
+        return merge_spans(spans)
 
     # -- execution -----------------------------------------------------------
     def run(self, trace: PageTrace) -> SwapExecutionResult:
         """Execute the whole trace; returns the accumulated counters.
 
         ``REPRO_REPLAY=batch`` (the default) delegates eligible runs —
-        cold single-tenant stacks with an idle simulator — to the batched
-        fault-replay engine (:mod:`repro.swap.replay`), which produces
-        bit-identical counters from a vectorized classification pass plus
-        aggregate DES admission.  Cold runs with live fault windows or an
+        cold stacks on an idle simulator with no failover controller and
+        no live fault window — to the batched fault-replay engine
+        (:mod:`repro.swap.replay`), which produces bit-identical counters
+        from a vectorized classification pass plus aggregate DES
+        admission.  Cold runs with live fault windows or an
         attached failover controller go to the segmented hybrid engine
         (:mod:`repro.swap.plan`): batch admission outside hazard spans,
         the exact per-access loop inside them.  ``REPRO_REPLAY=event``
         forces the exact per-access loop (the reference the equivalence
-        tests compare against); warm or multi-tenant executors always
-        take it.
+        tests compare against); warm stacks and devices with a custom
+        batched I/O path always take it.
         """
-        mode = os.environ.get(REPLAY_ENV, "batch")
-        if mode not in ("batch", "event"):
-            raise ConfigurationError(
-                f"unknown {REPLAY_ENV}={mode!r}; expected 'batch' or 'event'"
-            )
-        if mode == "batch":
-            if self._batch_eligible():
-                return replay_run(self, trace)
-            if self._hybrid_eligible():
-                from repro.swap.plan import hybrid_run
+        engine = self._engine() if _replay_mode() == "batch" else "event"
+        if engine == "batch":
+            return replay_run(self, trace)
+        if engine == "hybrid":
+            from repro.swap.plan import hybrid_run
 
-                return hybrid_run(self, trace)
+            return hybrid_run(self, trace)
         done = self.sim.process(self._run_proc(trace), name="exec:run")
         self.sim.run(until=done)
         return self.result
 
-    def _cold_idle(self) -> bool:
-        """Whether the stack is cold and the simulator idle.
-
-        The premise both replay engines share: nothing resident or
-        swapped out yet, no counters accumulated, no concurrent DES
-        activity the per-access loop would interleave with.
-        """
-        return (
+    def _engine(self) -> str:
+        """The engine :meth:`run` takes: ``"batch"``, ``"hybrid"`` or
+        ``"event"``.  A failover controller or a live fault window makes
+        retries, stalls and switches depend on *when* each access runs,
+        which batch replay cannot reproduce."""
+        if not (
             self.sim.idle
             and self.result.accesses == 0
             and not self._touched
             and len(self.lru) == 0
             and not self._evicted
             and self.frontend.resident_far_pages == 0
-        )
-
-    def _batch_eligible(self) -> bool:
-        """Whether pure batched replay reproduces this run exactly.
-
-        The classification pass assumes the access outcome stream is
-        predetermined by the trace alone.  Fault windows break that
-        premise — retries, stalls, and mid-run switches depend on *when*
-        each access runs — so an attached failover controller or live
-        fault windows route to the segmented hybrid engine instead (an
-        empty or fully elapsed :class:`~repro.faults.plan.FaultPlan` is
-        harmless and keeps batch eligibility).
-        """
-        return (
-            self._cold_idle()
-            and self.failover is None
-            and not self._fault_injected()
-        )
-
-    def _hybrid_eligible(self) -> bool:
-        """Whether the segmented hybrid engine can run this trace.
-
-        Cold idle stack with something the pure batch engine cannot
-        honour — live fault windows or an attached failover controller —
-        on a device model the planner knows how to price (stock batched
-        I/O path, possibly wrapped by a single
-        :class:`~repro.faults.device.FaultyDevice`).
-        """
-        from repro.swap.plan import plannable
-
-        return (
-            self._cold_idle()
-            and (self.failover is not None or self._fault_injected())
-            and plannable(self)
-        )
+        ):
+            return "event"  # warm stack or concurrent DES activity
+        if self.failover is None and not self.live_hazards(self.frontend.backends):
+            return "batch"
+        device = self.frontend.module(self.frontend.active_backend).device
+        return "hybrid" if stock_batch_path(device) else "event"
 
     def _run_proc(self, trace: PageTrace):
         res = self.result
@@ -311,7 +284,7 @@ class SwapExecutor:
         return res
 
     def _span_proc(self, pages, kinds, ops, pos, stop_time=None,
-                   switched0=_CAPTURE):
+                   switched0=None):
         """Run accesses ``[pos, len)`` through the per-access event loop.
 
         The exact engine, span-shaped for the hybrid planner: with a
@@ -320,7 +293,8 @@ class SwapExecutor:
         completes, since the stop time was priced against the *pre-switch*
         active plan — *and* the failover monitor is quiescent (see
         :meth:`FailoverController.quiescent` — a batch segment must not
-        inherit unevaluated health samples).  Returns the next unprocessed
+        inherit unevaluated health samples; ``switched0`` is the switch
+        timestamp at span entry).  Returns the next unprocessed
         index; the caller owns start/end bookkeeping (``sim_time``, final
         progress sample, sanitizer pass).
         """
@@ -339,8 +313,6 @@ class SwapExecutor:
         add_latency = res.fault_latency.add
         sanitize = sim.sanitize
         failover = self.failover
-        if switched0 is _CAPTURE:
-            switched0 = failover.switched_at if failover is not None else None
         i = pos
         for page, kind, op in zip(pages[pos:], kinds[pos:], ops[pos:]):
             i += 1
@@ -577,8 +549,8 @@ def run_tenants(executors, traces) -> list[SwapExecutionResult]:
     """Execute one trace per tenant concurrently on a shared simulator.
 
     The multi-tenant counterpart of :meth:`SwapExecutor.run`:
-    ``REPRO_REPLAY=batch`` (the default) routes cold stacks through the
-    contended batched replay engine
+    ``REPRO_REPLAY=batch`` (the default) routes cold, hazard-free stacks
+    through the contended batched replay engine
     (:func:`repro.swap.replay.replay_run_multi` — vectorized
     classification per tenant, then a fluid fair-share phase-2 solve);
     ``REPRO_REPLAY=event`` (or any warm/ineligible tenant) runs every
@@ -589,28 +561,14 @@ def run_tenants(executors, traces) -> list[SwapExecutionResult]:
     Returns the per-tenant results in input order; each tenant's
     ``sim_time`` covers its own start-to-finish interval.
     """
-    executors = list(executors)
-    traces = list(traces)
-    if not executors or len(executors) != len(traces):
-        raise ConfigurationError(
-            f"need one trace per executor, got {len(executors)} executor(s) "
-            f"and {len(traces)} trace(s)"
-        )
-    sim = executors[0].sim
-    for ex in executors:
-        if ex.sim is not sim:
-            raise ConfigurationError("tenant executors must share one simulator")
+    executors, traces, sim = _tenant_group(executors, traces)
     if len(executors) == 1:
         # the single-tenant ladder (batch -> segmented hybrid -> event)
         # lives on SwapExecutor.run; delegating keeps injected/failover
         # runs on the hybrid planner instead of the bare event loop
         return [executors[0].run(traces[0])]
-    mode = os.environ.get(REPLAY_ENV, "batch")
-    if mode not in ("batch", "event"):
-        raise ConfigurationError(
-            f"unknown {REPLAY_ENV}={mode!r}; expected 'batch' or 'event'"
-        )
-    if mode == "batch" and all(ex._batch_eligible() for ex in executors):
+    if _replay_mode() == "batch" and all(ex._engine() == "batch"
+                                         for ex in executors):
         return replay_run_multi(executors, traces)
     procs = [
         sim.process(ex._run_proc(trace), name=f"exec:run:{i}")

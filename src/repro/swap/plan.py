@@ -4,9 +4,6 @@ The batched fault-replay engine (:mod:`repro.swap.replay`) is ~15x faster
 than the per-access event loop but assumes the access outcome stream is
 predetermined — which fault windows and failover controllers break:
 retries, stalls, and mid-run switches depend on *when* each access runs.
-Before this module any run with a live :class:`~repro.faults.plan.FaultPlan`
-or an attached :class:`~repro.faults.failover.FailoverController` paid the
-full event-engine cost even though faults occupy a sliver of its time.
 
 :func:`hybrid_run` recovers the batch speedup by slicing the trace into
 segments on *hazard* boundaries — the merged live fault windows of the
@@ -61,14 +58,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.devices.base import FarMemoryDevice
 from repro.errors import SimulationError
-from repro.faults.device import FaultyDevice
 from repro.mem.page import PageOp
 from repro.swap.pathmodel import FAULT_COST
-from repro.swap.replay import _WINDOW, classify_span
+from repro.swap.replay import (
+    _WINDOW,
+    _admit,
+    _book,
+    _window_counts,
+    classify_span,
+    stock_batch_path,
+)
 
-__all__ = ["PlanSegment", "ExecutionPlan", "hybrid_run", "plannable"]
+__all__ = ["PlanSegment", "ExecutionPlan", "hybrid_run"]
 
 _STORE_OP = int(PageOp.STORE)
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -159,50 +161,6 @@ class ExecutionPlan:
         return f"<ExecutionPlan {self.describe()}>"
 
 
-def plannable(executor) -> bool:
-    """Whether the hybrid planner can price this executor's active device.
-
-    Batch segments admit aggregate flows through the stock
-    :meth:`FarMemoryDevice._io_batch` path (possibly behind a single
-    :class:`FaultyDevice` wrapper, which is a healthy-time no-op outside
-    its windows); a device subclass with its own batched DES path needs
-    the event engine throughout.
-    """
-    frontend = executor.frontend
-    name = frontend.active_backend
-    if name is None:
-        return False
-    device = frontend.module(name).device
-    if type(device) is FaultyDevice:
-        device = device.inner
-    t = type(device)
-    return (
-        t._io_batch is FarMemoryDevice._io_batch
-        and t.batch_command_cost is FarMemoryDevice.batch_command_cost
-        and t.stage_pipes is FarMemoryDevice.stage_pipes
-    )
-
-
-def _active_hazards(executor) -> list[tuple[float, float]]:
-    """Merged live fault spans of the *active* backend's plan.
-
-    Only the active device serves the batched I/O flows, so only its
-    windows can perturb an admitted chunk; standby plans matter solely
-    through degraded-verdict pricing, which by the quiescence invariant
-    happens inside event segments.  Re-reading the active plan each
-    iteration keeps this correct across failover switches: after one,
-    the *new* active backend's windows become the hazards (stale copies
-    on the old backend are handled by the stale cut instead — faults on
-    them never enter a batch segment, so the old plan cannot matter).
-    """
-    frontend = executor.frontend
-    device = frontend.module(frontend.active_backend).device
-    plan = getattr(device, "fault_plan", None)
-    if plan is None or not plan:
-        return []
-    return plan.live_spans(executor.sim.now)
-
-
 def _replay_span(executor, pages, ops, touched_arr, far_arr):
     """Classify one span against the live LRU (on_evict parked)."""
     lru = executor.lru
@@ -242,9 +200,9 @@ def _seam_arrays(executor):
 
 
 def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
-                   a_pos, full_pos, limit, rate):
-    """Admit batch chunks from ``a_pos`` until the trace ends or ``limit``
-    nears; returns the new ``(a_pos, full_pos, blocked)``.  ``rate`` is the
+                   full_pos, limit, rate):
+    """Admit batch chunks from ``full_pos`` until the trace ends or ``limit``
+    nears; returns the new ``(full_pos, blocked)``.  ``rate`` is the
     run's recent-weighted ``[serial_cost, anon_accesses]`` density estimate,
     carried across segments so later segments size their first chunk from
     the observed cost rate instead of re-walking the discovery ladder.
@@ -289,6 +247,8 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
         + granularity / min(p.bandwidth for p in base.stage_pipes(True))
     )
     n_anon = int(anon_pages.shape[0])
+    a_pos = int(np.searchsorted(anon_idx, full_pos))
+    t0, p0 = sim.now, full_pos
     chunk = _CHUNK_MIN
     if limit is not None and rate[1] and rate[0] > 0.0:
         # returning segment: open with a budget-sized chunk straight away,
@@ -296,7 +256,22 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
         # oversized one costs re-classifying the whole kept prefix
         predicted = int(0.85 * (limit - sim.now) * rate[1] / rate[0])
         chunk = min(_CHUNK_MAX, max(_WINDOW, predicted))
-    add_repeat = res.fault_latency.add_repeat
+    f_idx = res.faults
+
+    def feed_monitor(mean, k_fault):
+        # the event loop's monitor feed, one observation per fault at its
+        # global ordinal: provably healthy checks, zero DES events
+        nonlocal f_idx
+        for _ in range(k_fault):
+            f_idx += 1
+            failover.observe_fault(mean, granularity, backend=active_name)
+            if f_idx % interval == 0:
+                if (yield from failover.check_gen()) is not None:
+                    raise SimulationError(
+                        "hybrid replay: health check fired a switch inside "
+                        "a batch segment"
+                    )
+
     # far copies owned by a non-active backend are *stale*: their fault
     # timing (and the lazy-migration invalidation that follows) depends on
     # the owner, and a store re-homes them — neither of which the
@@ -407,65 +382,21 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
             a1 = a_pos + cut
             span = _replay_span(executor, anon_pages[a_pos:a1],
                                 anon_ops[a_pos:a1], touched_arr, far_arr)
-        n_windows = (a1 - a_pos + _WINDOW - 1) // _WINDOW
-        fault_counts = np.bincount(span.fault_pos // _WINDOW,
-                                   minlength=n_windows)
-        wb_counts = np.bincount(span.evict_pos[~span.clean] // _WINDOW,
-                                minlength=n_windows)
-        fc = fault_counts.tolist()
-        wc = wb_counts.tolist()
-        base_faults = res.faults
-
-        def admit():
-            f_idx = base_faults
-            for k_fault, k_wb in zip(fc, wc):
-                if k_fault:
-                    t0 = sim.now
-                    yield sim.timeout(k_fault * FAULT_COST)
-                    yield from frontend.load_batch_gen(
-                        k_fault, granularity=granularity)
-                    mean = (sim.now - t0) / k_fault
-                    add_repeat(mean, k_fault)
-                    if failover is not None:
-                        # replicate the event loop's monitor feed: one
-                        # observation per fault at its global ordinal, a
-                        # check at every interval crossing — provably
-                        # healthy-verdict (quiescent entry, same-bin
-                        # samples), so checks cost zero DES events
-                        for _ in range(k_fault):
-                            f_idx += 1
-                            failover.observe_fault(
-                                mean, granularity, backend=active_name)
-                            if f_idx % interval == 0:
-                                if (yield from failover.check_gen()) is not None:
-                                    raise SimulationError(
-                                        "hybrid replay: health check fired a "
-                                        "switch inside a batch segment"
-                                    )
-                if k_wb:
-                    yield from frontend.store_batch_gen(
-                        k_wb, granularity=granularity)
-
+        fc, wc = _window_counts(span)
         if any(fc) or any(wc):
-            done = sim.process(admit(), name="exec:hybrid")
+            f_idx = res.faults
+            done = sim.process(
+                _admit(executor, fc, wc,
+                       feed_monitor if failover is not None else None),
+                name="exec:hybrid")
             sim.run(until=done)
             if limit is not None and sim.now > limit:
                 raise SimulationError(
                     f"hybrid replay: batch segment overshot the hazard at "
                     f"t={limit:.6f} (now t={sim.now:.6f})"
                 )
-        # book the chunk's timing-independent facts
         full_next = int(anon_idx[a1]) if a1 < n_anon else n_full
-        n_span = a1 - a_pos
-        res.accesses += full_next - full_pos
-        res.file_skips += (full_next - full_pos) - n_span
-        res.hits += span.hits
-        res.cold_allocations += span.cold_allocations
-        res.faults += span.faults
-        res.swap_ins += span.faults
-        res.swap_outs += span.swap_outs
-        res.clean_drops += span.clean_drops
-        executor._touched.update(span.new_touched.tolist())
+        _book(executor, span, full_next - full_pos, span.new_touched)
         # reconcile far-copy ownership: the span's far_end is the complete
         # set (seam copies included), so delta against the seam set
         drop = np.setdiff1d(far_arr, span.far_end, assume_unique=True)
@@ -489,16 +420,19 @@ def _batch_segment(executor, anon_pages, anon_ops, anon_idx, n_full,
         if partial:
             break
         chunk = min(chunk * 2, _CHUNK_MAX)
-    return a_pos, full_pos, blocked
+    executor.execution_plan.add("batch", p0, full_pos, t0, sim.now)
+    return full_pos, blocked
 
 
 #: Accesses materialized per python-list slice handed to the event loop.
 _EVENT_SLICE = 4 * _WINDOW  # simlint: ignore[UNIT001] -- access count, not bytes
 
 
-def _event_span(executor, trace, full_pos, stop_time):
+def _event_span(executor, trace, full_pos, stop_time, end=None):
     """Run the exact per-access loop from ``full_pos``; returns the next
-    unprocessed index (see :meth:`SwapExecutor._span_proc`).
+    unprocessed index (see :meth:`SwapExecutor._span_proc`).  ``end``, if
+    given, bounds the walk at a trace position: the stale cut knows which
+    accesses are owner-dependent.  The segment lands on the execution plan.
 
     The trace is handed over in bounded python-list slices: event spans
     cover a sliver of the run, so converting the whole trace up front
@@ -509,9 +443,13 @@ def _event_span(executor, trace, full_pos, stop_time):
     sim = executor.sim
     failover = executor.failover
     switched0 = failover.switched_at if failover is not None else None
+    t0, p0 = sim.now, full_pos
     n = int(trace.pages.shape[0])
+    if end is not None:
+        n = min(n, end)
+    whole = stop_time is None and end is None
     while full_pos < n:
-        hi = n if stop_time is None else min(n, full_pos + _EVENT_SLICE)
+        hi = n if whole else min(n, full_pos + _EVENT_SLICE)
         pages = trace.pages[full_pos:hi].tolist()
         kinds = trace.kinds[full_pos:hi].tolist()
         ops = trace.ops[full_pos:hi].tolist()
@@ -522,18 +460,20 @@ def _event_span(executor, trace, full_pos, stop_time):
         )
         sim.run(until=done)
         full_pos += int(done.value)
-        if full_pos < hi or stop_time is None:
+        if full_pos < hi:
             break
         # the loop's stop check runs *after* each access, so a stop that
         # fires exactly on the slice boundary must not leak one access
         # into the next slice
         if (
-            (sim.now >= stop_time
-             or (failover is not None
-                 and failover.switched_at != switched0))
+            stop_time is not None
+            and (sim.now >= stop_time
+                 or (failover is not None
+                     and failover.switched_at != switched0))
             and (failover is None or failover.quiescent())
         ):
             break
+    executor.execution_plan.add("event", p0, full_pos, t0, sim.now)
     return full_pos
 
 
@@ -543,148 +483,66 @@ def _event_span(executor, trace, full_pos, stop_time):
 _EVENT_STEP = _WINDOW // 16  # simlint: ignore[UNIT001] -- access count, not bytes
 
 
-def _event_exact(executor, trace, full_pos, end):
-    """Walk accesses ``[full_pos, end)`` on the exact loop, position-bounded.
-
-    Unlike :func:`_event_span` there is no stop time: the slice boundary
-    is the contract (the caller knows exactly which accesses are
-    owner-dependent), and ``_span_proc`` without a stop time consumes each
-    handed slice entirely.
-    """
-    sim = executor.sim
-    end = min(end, int(trace.pages.shape[0]))
-    while full_pos < end:
-        hi = min(end, full_pos + _EVENT_SLICE)
-        pages = trace.pages[full_pos:hi].tolist()
-        kinds = trace.kinds[full_pos:hi].tolist()
-        ops = trace.ops[full_pos:hi].tolist()
-        done = sim.process(
-            executor._span_proc(pages, kinds, ops, 0, None),
-            name="exec:hybrid:event",
-        )
-        sim.run(until=done)
-        full_pos += int(done.value)
-    return full_pos
-
-
-def _post_switch_tail(executor, trace, plan, anon_pages, anon_ops, anon_idx,
-                      n_full, full_pos):
-    """Resume batch admission after a completed failover switch.
-
-    Lazy migration makes some post-switch outcomes owner-dependent: a
-    fault on a page whose far copy still lives on the switched-away
-    backend is served by *that* device (its timing, its live windows, its
-    transient dice rolls) and then invalidated, and a store to such a page
-    re-homes it — none of which the vectorized classification models.
-    Everything else is owner-independent, so the tail planner batches
-    chunks up to the first stale fault/store (:func:`_batch_segment`'s
-    stale cut), walks the blocking access — and, while cuts keep coming,
-    exponentially longer stretches — on the exact event loop, and returns
-    to batch once the monitor is quiescent again.  The stale set only
-    shrinks (new far copies always land on the active backend), so long
-    tails converge back to pure batch admission.
-    """
-    sim = executor.sim
-    failover = executor.failover
-    rate = [0.0, 0.0]  # the switched-to device prices differently: restart
-    event_len = _EVENT_STEP
-    while full_pos < n_full:
-        if not plannable(executor):
-            t0, p0 = sim.now, full_pos
-            full_pos = _event_span(executor, trace, full_pos, None)
-            plan.add("event", p0, full_pos, t0, sim.now)
-            break
-        if failover is not None and not failover.quiescent():
-            # drain unevaluated monitor samples before any batch segment
-            t0, p0 = sim.now, full_pos
-            full_pos = _event_span(executor, trace, full_pos, sim.now)
-            plan.add("event", p0, full_pos, t0, sim.now)
-            continue
-        hazards = _active_hazards(executor)
-        if hazards and sim.now >= hazards[0][0]:
-            # inside a live window of the new active backend: run exactly
-            t0, p0 = sim.now, full_pos
-            full_pos = _event_span(executor, trace, full_pos, hazards[0][1])
-            plan.add("event", p0, full_pos, t0, sim.now)
-            continue
-        limit = hazards[0][0] if hazards else None
-        a_pos = int(np.searchsorted(anon_idx, full_pos))
-        t0, p0 = sim.now, full_pos
-        a_pos, full_pos, blocked = _batch_segment(
-            executor, anon_pages, anon_ops, anon_idx, n_full,
-            a_pos, full_pos, limit, rate,
-        )
-        plan.add("batch", p0, full_pos, t0, sim.now)
-        if full_pos - p0 >= _WINDOW:
-            event_len = _EVENT_STEP  # real batch progress: reset the backoff
-        if full_pos >= n_full:
-            break
-        if blocked is not None:
-            target = min(n_full, max(blocked + 1, full_pos + event_len))
-            t0, p0 = sim.now, full_pos
-            full_pos = _event_exact(executor, trace, full_pos, target)
-            plan.add("event", p0, full_pos, t0, sim.now)
-            event_len = min(event_len * 2, _EVENT_SLICE)
-        else:
-            # the hazard bound the segment: approach + window run exactly
-            hazards = _active_hazards(executor)
-            stop_time = hazards[0][1] if hazards else None
-            t0, p0 = sim.now, full_pos
-            full_pos = _event_span(executor, trace, full_pos, stop_time)
-            plan.add("event", p0, full_pos, t0, sim.now)
-    return full_pos
-
-
 def hybrid_run(executor, trace):
     """Execute ``trace`` on the segmented hybrid engine.
 
     The planner's entry point, called by :meth:`SwapExecutor.run` for
     cold runs with live fault windows or an attached failover controller
-    on a plannable device.  Bit-identical counters and end state to the
+    on a stock-I/O device.  Bit-identical counters and end state to the
     per-access event engine; ``sim_time`` equal to float round-off.  The
     as-executed schedule lands on ``executor.execution_plan``.
     """
     sim = executor.sim
     res = executor.result
+    frontend = executor.frontend
+    failover = executor.failover
     start = sim.now
-    plan = ExecutionPlan()
-    executor.execution_plan = plan
+    executor.execution_plan = ExecutionPlan()
     n_full = int(trace.pages.shape[0])
     anon_mask = trace.anon_mask
     anon_pages = np.ascontiguousarray(trace.pages[anon_mask])
     anon_ops = np.ascontiguousarray(trace.ops[anon_mask])
     anon_idx = np.flatnonzero(anon_mask)
     full_pos = 0
-    a_pos = 0
     rate = [0.0, 0.0]  # recent-weighted [serial cost, anon accesses] density
+    event_len = _EVENT_STEP
+    switched = None
     while full_pos < n_full:
-        failover = executor.failover
-        if failover is not None and failover.switched_at is not None:
-            # post-switch: the owner-aware tail planner resumes batch
-            # admission between stale-copy accesses
-            full_pos = _post_switch_tail(
-                executor, trace, plan, anon_pages, anon_ops, anon_idx,
-                n_full, full_pos,
-            )
+        if failover is not None and failover.switched_at != switched:
+            switched = failover.switched_at
+            rate = [0.0, 0.0]  # the switched-to device prices differently
+        if not stock_batch_path(frontend.module(frontend.active_backend).device):
+            full_pos = _event_span(executor, trace, full_pos, None)
             break
-        hazards = _active_hazards(executor)
-        if not hazards or sim.now < hazards[0][0]:
-            limit = hazards[0][0] if hazards else None
-            t0, p0 = sim.now, full_pos
-            a_pos, full_pos, _ = _batch_segment(
-                executor, anon_pages, anon_ops, anon_idx, n_full,
-                a_pos, full_pos, limit, rate,
-            )
-            plan.add("batch", p0, full_pos, t0, sim.now)
-            if full_pos >= n_full:
-                break
-            hazards = _active_hazards(executor)
-        # approach + hazard cluster (and its quiescence tail) run exactly
-        stop_time = hazards[0][1] if hazards else None
-        t0, p0 = sim.now, full_pos
-        full_pos = _event_span(executor, trace, full_pos, stop_time)
-        plan.add("event", p0, full_pos, t0, sim.now)
-        a_pos = int(np.searchsorted(anon_idx, full_pos))
+        if failover is not None and not failover.quiescent():
+            # drain unevaluated monitor samples before any batch segment
+            full_pos = _event_span(executor, trace, full_pos, sim.now)
+            continue
+        # only the active device serves batched flows: its windows are the
+        # hazards (standby plans matter only inside event segments)
+        hazards = executor.live_hazards()
+        if hazards and sim.now >= hazards[0][0]:
+            # inside a live window of the new active backend: run exactly
+            full_pos = _event_span(executor, trace, full_pos, hazards[0][1])
+            continue
+        p0 = full_pos
+        full_pos, blocked = _batch_segment(
+            executor, anon_pages, anon_ops, anon_idx, n_full, full_pos,
+            hazards[0][0] if hazards else None, rate,
+        )
+        if full_pos - p0 >= _WINDOW:
+            event_len = _EVENT_STEP  # real batch progress: reset the backoff
+        if full_pos >= n_full:
+            break
+        if blocked is not None:
+            target = min(n_full, max(blocked + 1, full_pos + event_len))
+            full_pos = _event_span(executor, trace, full_pos, None, end=target)
+            event_len = min(event_len * 2, _EVENT_SLICE)
+        else:
+            # the hazard bound the segment: approach + window run exactly
+            hazards = executor.live_hazards()
+            stop_time = hazards[0][1] if hazards else None
+            full_pos = _event_span(executor, trace, full_pos, stop_time)
     if sim.sanitize:
         executor.assert_page_conservation()
     executor.progress.record(sim.now, float(res.accesses))

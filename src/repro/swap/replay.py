@@ -41,7 +41,8 @@ the windowed DES admission reference (``solver="des"``) to round-off.
 Selection is by the ``REPRO_REPLAY`` environment variable, read by
 :meth:`SwapExecutor.run` and :func:`~repro.swap.executor.run_tenants`:
 ``batch`` (default) delegates here whenever the run is eligible (cold
-stack, supported device model), ``event`` forces the exact per-access
+stack, no failover controller, no live fault window; see
+:meth:`SwapExecutor._engine`), ``event`` forces the exact per-access
 loop.
 """
 
@@ -83,8 +84,32 @@ _WINDOW = 4096  # simlint: ignore[UNIT001] -- access count, not bytes
 _CACHE_MIN_ANON = 100_000
 
 
+class _Classified:
+    """Counts derived from the ``fault_pos``/``evict_pos``/``clean`` arrays."""
+
+    @property
+    def faults(self) -> int:
+        """Capacity faults (== swap-ins: every fault fetches its page)."""
+        return int(self.fault_pos.shape[0])
+
+    @property
+    def evictions(self) -> int:
+        """Victims produced by reclaim."""
+        return int(self.evict_pos.shape[0])
+
+    @property
+    def clean_drops(self) -> int:
+        """Victims freed without writeback (valid swap-cache copy)."""
+        return int(self.clean.sum())
+
+    @property
+    def swap_outs(self) -> int:
+        """Victims written back to the far backend."""
+        return self.evictions - self.clean_drops
+
+
 @dataclass
-class ReplayClassification:
+class ReplayClassification(_Classified):
     """Phase-1 output: every access and victim classified, end state known.
 
     Positions are indices into the *anonymous sub-trace* (the executor
@@ -108,28 +133,13 @@ class ReplayClassification:
     lru_demotions: int       #: two-generation demotion count
 
     @property
-    def faults(self) -> int:
-        """Capacity faults (== swap-ins: every fault fetches its page)."""
-        return int(self.fault_pos.shape[0])
-
-    @property
-    def evictions(self) -> int:
-        """Victims produced by reclaim."""
-        return int(self.evict_pos.shape[0])
-
-    @property
-    def clean_drops(self) -> int:
-        """Victims freed without writeback (valid swap-cache copy)."""
-        return int(self.clean.sum())
-
-    @property
-    def swap_outs(self) -> int:
-        """Victims written back to the far backend."""
-        return self.evictions - self.clean_drops
+    def n_anon(self) -> int:
+        """Anonymous accesses: the positions' coordinate space."""
+        return self.n_accesses - self.file_skips
 
 
 @dataclass
-class SpanClassification:
+class SpanClassification(_Classified):
     """Phase-1 output for one *span* of a segmented run.
 
     The warm-start analogue of :class:`ReplayClassification`, produced by
@@ -149,26 +159,6 @@ class SpanClassification:
     clean: np.ndarray        #: per eviction: dropped without writeback?
     far_end: np.ndarray      #: complete far-copy set at span end (sorted)
     new_touched: np.ndarray  #: pages first touched in this span, span order
-
-    @property
-    def faults(self) -> int:
-        """Capacity faults (== swap-ins: every fault fetches its page)."""
-        return int(self.fault_pos.shape[0])
-
-    @property
-    def evictions(self) -> int:
-        """Victims produced by reclaim."""
-        return int(self.evict_pos.shape[0])
-
-    @property
-    def clean_drops(self) -> int:
-        """Victims freed without writeback (valid swap-cache copy)."""
-        return int(self.clean.sum())
-
-    @property
-    def swap_outs(self) -> int:
-        """Victims written back to the far backend."""
-        return self.evictions - self.clean_drops
 
 
 def classify_span(
@@ -417,40 +407,63 @@ def trace_mrc(trace: PageTrace) -> MissRatioCurve:
     return MissRatioCurve(pages=trace.pages[trace.anon_mask])
 
 
-def _apply_classification(executor, cls: ReplayClassification) -> None:
-    """Book a classification's counters and end state onto ``executor``.
+def stock_batch_path(device) -> bool:
+    """Whether ``device`` keeps the :class:`FarMemoryDevice` batched I/O
+    path the fluid solver and the hybrid planner price, looking through a
+    :class:`FaultyDevice` (a healthy-time no-op outside its windows)."""
+    from repro.faults.device import FaultyDevice
 
-    Everything timing-independent: execution counters, LRU contents and
-    statistics, the touched set.  Shared by the single-tenant and
-    multi-tenant phase-2 paths.
-    """
+    if type(device) is FaultyDevice:
+        device = device.inner
+    t = type(device)
+    return (t._io_batch is FarMemoryDevice._io_batch
+            and t.batch_command_cost is FarMemoryDevice.batch_command_cost
+            and t.stage_pipes is FarMemoryDevice.stage_pipes)
+
+
+def _book(executor, cls: _Classified, accesses: int, touched: np.ndarray) -> None:
+    """The one counter-booking site of every batch path: ``accesses``
+    trace accesses, of which ``cls`` classified the anonymous ones."""
     res = executor.result
-    res.accesses += cls.n_accesses
-    res.file_skips += cls.file_skips
+    res.accesses += accesses
+    res.file_skips += accesses - cls.n_anon
     res.hits += cls.hits
     res.cold_allocations += cls.cold_allocations
     res.faults += cls.faults
     res.swap_ins += cls.faults
     res.swap_outs += cls.swap_outs
     res.clean_drops += cls.clean_drops
-    lru = executor.lru
-    lru.restore_state(cls.final_active, cls.final_inactive)
-    lru.hits += cls.hits
-    lru.misses += cls.cold_allocations + cls.faults
-    lru.promotions += cls.lru_promotions
-    lru.demotions += cls.lru_demotions
-    lru.evictions += cls.evictions
-    executor._touched.update(cls.touched.tolist())
+    executor._touched.update(touched.tolist())
 
 
-def _window_counts(cls: ReplayClassification) -> tuple[list[int], list[int]]:
+def _window_counts(cls: _Classified) -> tuple[list[int], list[int]]:
     """Per-``_WINDOW`` fault and writeback counts, as plain ints."""
-    n_anon = cls.n_accesses - cls.file_skips
-    n_windows = (n_anon + _WINDOW - 1) // _WINDOW
+    n_windows = (cls.n_anon + _WINDOW - 1) // _WINDOW
     fault_counts = np.bincount(cls.fault_pos // _WINDOW, minlength=n_windows)
     wb_pos = cls.evict_pos[~cls.clean]
     wb_counts = np.bincount(wb_pos // _WINDOW, minlength=n_windows)
     return fault_counts.tolist(), wb_counts.tolist()
+
+
+def _admit(executor, fault_counts, wb_counts, on_faults=None):
+    """Admit per-window faults, then writebacks, as aggregate DES flows;
+    ``on_faults(mean_latency, count)``, a generator function, runs after
+    each window's faults."""
+    sim = executor.sim
+    frontend = executor.frontend
+    granularity = executor.config.granularity
+    add_repeat = executor.result.fault_latency.add_repeat
+    for k_fault, k_wb in zip(fault_counts, wb_counts):
+        if k_fault:
+            t0 = sim.now
+            yield sim.timeout(k_fault * FAULT_COST)
+            yield from frontend.load_batch_gen(k_fault, granularity=granularity)
+            mean = (sim.now - t0) / k_fault
+            add_repeat(mean, k_fault)
+            if on_faults is not None:
+                yield from on_faults(mean, k_fault)
+        if k_wb:
+            yield from frontend.store_batch_gen(k_wb, granularity=granularity)
 
 
 def replay_run(executor, trace: PageTrace,
@@ -462,40 +475,12 @@ def replay_run(executor, trace: PageTrace,
     bit-for-bit, same end state for the LRU lists, touched set, and
     far-memory ownership, and ``sim_time`` equal up to float round-off.
     Faults and writebacks are admitted per ``_WINDOW``-access window as
-    aggregate flows; each window charges the kernel fault cost per fault
-    and credits the mean per-fault latency to the latency collector.
+    aggregate flows (see :func:`_admit`).
     """
     cls = classification
     if cls is None:
         cls = classify_trace(trace, executor.lru.capacity, executor.lru.active_ratio)
-    sim = executor.sim
-    res = executor.result
-    frontend = executor.frontend
-    _apply_classification(executor, cls)
-    start = sim.now
-    if cls.faults or cls.swap_outs:
-        fault_counts, wb_counts = _window_counts(cls)
-        granularity = executor.config.granularity
-        add_repeat = res.fault_latency.add_repeat
-
-        def admit():
-            for k_fault, k_wb in zip(fault_counts, wb_counts):
-                if k_fault:
-                    t0 = sim.now
-                    yield sim.timeout(k_fault * FAULT_COST)
-                    yield from frontend.load_batch_gen(k_fault, granularity=granularity)
-                    add_repeat((sim.now - t0) / k_fault, k_fault)
-                if k_wb:
-                    yield from frontend.store_batch_gen(k_wb, granularity=granularity)
-
-        done = sim.process(admit(), name="exec:replay")
-        sim.run(until=done)
-    if cls.far_end.size:
-        frontend.adopt_far_pages(cls.far_end.tolist())
-    res.sim_time = sim.now - start
-    if sim.sanitize:
-        executor.assert_page_conservation()
-    return res
+    return _replay([executor], [cls], "des")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -586,31 +571,29 @@ class _PoolState:
 class _TenantPlan:
     """One tenant's phase-2 schedule plus its share of the shared topology."""
 
-    __slots__ = ("executor", "frontend", "module", "device", "granularity",
+    __slots__ = ("executor", "frontend", "module", "device", "windows",
                  "steps", "stages_read", "stages_write", "next", "pending",
                  "t0", "end", "latencies", "pool")
 
     def __init__(self, executor, cls: ReplayClassification) -> None:
         self.executor = executor
         self.frontend = executor.frontend
-        name = self.frontend.active_backend
-        self.module = self.frontend.module(name)
+        self.module = self.frontend.module(self.frontend.active_backend)
         self.device = self.module.device
-        self.granularity = executor.config.granularity
-        g = self.granularity
+        g = executor.config.granularity
+        self.windows = _window_counts(cls)
         self.steps: list[_AdmissionStep] = []
-        if cls.faults or cls.swap_outs:
-            for k_fault, k_wb in zip(*_window_counts(cls)):
-                if k_fault:
-                    self.steps.append(_AdmissionStep(
-                        pre=k_fault * FAULT_COST,
-                        command=self.device.batch_command_cost(k_fault, False, g),
-                        moved=k_fault * g, count=k_fault, write=False))
-                if k_wb:
-                    self.steps.append(_AdmissionStep(
-                        pre=0.0,
-                        command=self.device.batch_command_cost(k_wb, True, g),
-                        moved=k_wb * g, count=k_wb, write=True))
+        for k_fault, k_wb in zip(*self.windows):
+            if k_fault:
+                self.steps.append(_AdmissionStep(
+                    pre=k_fault * FAULT_COST,
+                    command=self.device.batch_command_cost(k_fault, False, g),
+                    moved=k_fault * g, count=k_fault, write=False))
+            if k_wb:
+                self.steps.append(_AdmissionStep(
+                    pre=0.0,
+                    command=self.device.batch_command_cost(k_wb, True, g),
+                    moved=k_wb * g, count=k_wb, write=True))
         self.next = 0
         self.pending = 0
         self.t0 = 0.0
@@ -619,18 +602,6 @@ class _TenantPlan:
         self.stages_read: list[_LinkState] = []
         self.stages_write: list[_LinkState] = []
         self.pool: _PoolState | None = None
-
-
-def _fluid_supported(device) -> bool:
-    """Whether the fluid solver's device model matches this device.
-
-    The solver prices command phases and stage pipes with the base-class
-    formulas; a subclass that overrides the batched DES path itself needs
-    the DES solver to stay exact."""
-    t = type(device)
-    return (t._io_batch is FarMemoryDevice._io_batch
-            and t.batch_command_cost is FarMemoryDevice.batch_command_cost
-            and t.stage_pipes is FarMemoryDevice.stage_pipes)
 
 
 def _fluid_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
@@ -870,33 +841,69 @@ def _fluid_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
 
 
 def _des_phase2(sim, plans: list[_TenantPlan]) -> list[float]:
-    """Admit every tenant's step schedule through the real event engine.
+    """Admit every tenant's windows through the real event engine.
 
     One coroutine per tenant, concurrently — O(windows) events per tenant
     instead of O(accesses); the reference the fluid solver is checked
-    against, and the fallback for devices with custom batched I/O paths.
+    against, the fallback for devices with custom batched I/O paths, and
+    the single-tenant phase 2 of :func:`replay_run`.
     """
     t_start = sim.now
     ends = [t_start] * len(plans)
 
-    def admit(i: int, plan: _TenantPlan):
-        frontend = plan.frontend
-        g = plan.granularity
-        add_repeat = plan.executor.result.fault_latency.add_repeat
-        for st in plan.steps:
-            if st.write:
-                yield from frontend.store_batch_gen(st.count, granularity=g)
-            else:
-                t0 = sim.now
-                yield sim.timeout(st.pre)
-                yield from frontend.load_batch_gen(st.count, granularity=g)
-                add_repeat((sim.now - t0) / st.count, st.count)
+    def tenant(i: int, plan: _TenantPlan):
+        yield from _admit(plan.executor, *plan.windows)
         ends[i] = sim.now
 
-    procs = [sim.process(admit(i, plan), name=f"exec:replay:{i}")
+    procs = [sim.process(tenant(i, plan), name=f"exec:replay:{i}")
              for i, plan in enumerate(plans)]
     sim.run(until=sim.all_of(procs))
     return [e - t_start for e in ends]
+
+
+def _tenant_group(executors, traces):
+    """Validated ``(executors, traces, shared simulator)`` of a tenant group:
+    one trace per executor, every executor on one simulator."""
+    executors = list(executors)
+    traces = list(traces)
+    if not executors or len(executors) != len(traces):
+        raise ConfigurationError(
+            f"need one trace per executor, got {len(executors)} executor(s) "
+            f"and {len(traces)} trace(s)"
+        )
+    sim = executors[0].sim
+    if any(ex.sim is not sim for ex in executors):
+        raise ConfigurationError("tenant executors must share one simulator")
+    return executors, traces, sim
+
+
+def _replay(executors, classifications, solver):
+    """Apply cold-start classifications and admit their windows with
+    ``solver`` (None: fluid when every device allows it)."""
+    sim = executors[0].sim
+    plans = []
+    for ex, cls in zip(executors, classifications):
+        _book(ex, cls, cls.n_accesses, cls.touched)
+        lru = ex.lru
+        lru.restore_state(cls.final_active, cls.final_inactive)
+        lru.hits += cls.hits
+        lru.misses += cls.cold_allocations + cls.faults
+        lru.promotions += cls.lru_promotions
+        lru.demotions += cls.lru_demotions
+        lru.evictions += cls.evictions
+        plans.append(_TenantPlan(ex, cls))
+    if solver is None:
+        solver = ("fluid" if all(stock_batch_path(p.device) for p in plans)
+                  else "des")
+    phase2 = _fluid_phase2 if solver == "fluid" else _des_phase2
+    for ex, cls, duration in zip(executors, classifications,
+                                 phase2(sim, plans)):
+        if cls.far_end.size:
+            ex.frontend.adopt_far_pages(cls.far_end.tolist())
+        ex.result.sim_time = duration
+        if sim.sanitize:
+            ex.assert_page_conservation()
+    return [ex.result for ex in executors]
 
 
 def replay_run_multi(executors, traces, classifications=None, solver=None):
@@ -919,42 +926,17 @@ def replay_run_multi(executors, traces, classifications=None, solver=None):
         raise ConfigurationError(
             f"unknown solver {solver!r}; expected 'fluid', 'des', or None"
         )
-    executors = list(executors)
-    traces = list(traces)
-    if not executors or len(executors) != len(traces):
-        raise ConfigurationError(
-            f"need one trace per executor, got {len(executors)} executor(s) "
-            f"and {len(traces)} trace(s)"
-        )
+    executors, traces, _ = _tenant_group(executors, traces)
     if len({id(ex) for ex in executors}) != len(executors):
         raise ConfigurationError("tenant executors must be distinct")
-    sim = executors[0].sim
-    for ex in executors:
-        if ex.sim is not sim:
-            raise ConfigurationError("tenant executors must share one simulator")
-        if not ex._batch_eligible():
-            raise ConfigurationError(
-                "replay_run_multi needs cold executors on an idle simulator"
-            )
+    if any(ex._engine() != "batch" for ex in executors):
+        raise ConfigurationError(
+            "replay_run_multi needs cold, hazard-free executors on an idle "
+            "simulator"
+        )
     if classifications is None:
         classifications = [
             classify_trace(tr, ex.lru.capacity, ex.lru.active_ratio)
             for ex, tr in zip(executors, traces)
         ]
-    plans = []
-    for ex, cls in zip(executors, classifications):
-        _apply_classification(ex, cls)
-        plans.append(_TenantPlan(ex, cls))
-    if solver is None:
-        solver = "fluid" if all(_fluid_supported(p.device) for p in plans) else "des"
-    if solver == "fluid":
-        durations = _fluid_phase2(sim, plans)
-    else:
-        durations = _des_phase2(sim, plans)
-    for ex, cls, duration in zip(executors, classifications, durations):
-        if cls.far_end.size:
-            ex.frontend.adopt_far_pages(cls.far_end.tolist())
-        ex.result.sim_time = duration
-        if sim.sanitize:
-            ex.assert_page_conservation()
-    return [ex.result for ex in executors]
+    return _replay(executors, classifications, solver)

@@ -373,29 +373,32 @@ def test_mutation_pathmodel_bytes_for_seconds_caught(real_tree):
 
 
 def test_mutation_replay_dropped_counter_caught(real_tree):
-    # `_apply_classification` books counters for both clean batch entry
-    # points and is the reference surface for the hybrid chunk booking,
-    # so dropping one counter yields a finding per broken comparison
+    # `_book` is the one counter-booking site of every batch path; the
+    # clean batch engines reach the counter only through it, so dropping
+    # it yields one finding per clean entry point (the hybrid planner
+    # still mutates it on its event segments)
     mutated = _mutate(
         real_tree, "swap/replay.py",
         "res.clean_drops += cls.clean_drops", "pass",
     )
     findings = lint_sources(mutated, LintConfig(select=frozenset({"PAR001"})))
-    assert len(findings) == 3
+    assert len(findings) == 2
     assert all("clean_drops" in f.message for f in findings)
+    assert {f.message.split("`")[3] for f in findings} == {
+        "replay_run", "replay_run_multi"}
 
 
 def test_mutation_hybrid_dropped_counter_caught(real_tree):
     """The segmented hybrid engine is held to the full event surface:
-    dropping a counter from its batch-segment booking is a parity break
-    even though the clean batch engines still mutate it."""
+    dropping a counter it alone books is a parity break even though the
+    clean batch engines still mutate it."""
     mutated = _mutate(
         real_tree, "swap/plan.py",
-        "res.clean_drops += span.clean_drops", "pass",
+        "res.sim_time = sim.now - start", "pass",
     )
     findings = lint_sources(mutated, LintConfig(select=frozenset({"PAR001"})))
     assert len(findings) == 1
-    assert "clean_drops" in findings[0].message
+    assert "sim_time" in findings[0].message
     assert findings[0].path.endswith("swap/plan.py")
 
 

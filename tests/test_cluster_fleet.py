@@ -34,14 +34,15 @@ from repro.topology.rack import RackFabric
 __all__: list[str] = []
 
 
-def _render(scale, seed, jobs, monkeypatch, cache_dir=None):
+def _render(scale, seed, jobs, monkeypatch, cache_dir=None,
+            name="fleet_study"):
     if cache_dir is None:
         monkeypatch.setenv("REPRO_CACHE", "0")
     else:
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
     monkeypatch.setenv("REPRO_FLEET_JOBS", str(jobs))
-    return run_experiment("fleet_study", ExperimentContext(scale=scale, seed=seed)).render()
+    return run_experiment(name, ExperimentContext(scale=scale, seed=seed)).render()
 
 
 def test_fleet_study_deterministic_across_jobs(monkeypatch):
@@ -50,16 +51,18 @@ def test_fleet_study_deterministic_across_jobs(monkeypatch):
     assert serial == fanned
 
 
-def test_fleet_study_deterministic_cold_vs_warm_cache(tmp_path, monkeypatch):
-    cold = _render(0.02, 23, 1, monkeypatch, cache_dir=tmp_path)
+@pytest.mark.parametrize("name", ["fleet_study", "phase_tuning"])
+def test_fleet_study_deterministic_cold_vs_warm_cache(name, tmp_path,
+                                                      monkeypatch):
+    cold = _render(0.02, 23, 1, monkeypatch, cache_dir=tmp_path, name=name)
     h0, m0 = cache.cache_stats()
-    warm = _render(0.02, 23, 1, monkeypatch, cache_dir=tmp_path)
+    warm = _render(0.02, 23, 1, monkeypatch, cache_dir=tmp_path, name=name)
     h1, m1 = cache.cache_stats()
     assert cold == warm
-    assert h1 - h0 > 0, "warm run never hit the fleet cache"
+    assert h1 - h0 > 0, "warm run never hit the cache"
     assert m1 - m0 == 0, "warm run missed despite a populated cache"
     # and the cached output equals the uncached one bit for bit
-    assert cold == _render(0.02, 23, 1, monkeypatch)
+    assert cold == _render(0.02, 23, 1, monkeypatch, name=name)
 
 
 def test_sweep_counters_bit_identical_to_standalone(monkeypatch):

@@ -12,10 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TraceError
 from repro.mem.reuse import (
     COLD,
-    KERNEL_ENV,
     _reuse_distances_fenwick,
     _reuse_distances_vector,
     reuse_distances,
@@ -62,24 +60,6 @@ def test_histogram_matches_distances(name):
     assert cold == int((d == COLD).sum())
     expect = np.bincount(warm) if warm.size else np.zeros(1, dtype=np.int64)
     np.testing.assert_array_equal(hist, expect)
-
-
-def test_env_selects_fenwick_kernel(monkeypatch):
-    pages = np.tile(np.arange(11), 9)
-    expect = _reuse_distances_fenwick(pages)
-    monkeypatch.setenv(KERNEL_ENV, "fenwick")
-    np.testing.assert_array_equal(reuse_distances(pages), expect)
-    hist, cold, n = reuse_histogram(pages)
-    monkeypatch.setenv(KERNEL_ENV, "vector")
-    hist2, cold2, n2 = reuse_histogram(pages)
-    np.testing.assert_array_equal(hist, hist2)
-    assert (cold, n) == (cold2, n2)
-
-
-def test_unknown_kernel_rejected(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "gpu")
-    with pytest.raises(TraceError):
-        reuse_distances(np.array([1, 2, 1]))
 
 
 @given(st.lists(st.integers(min_value=-30, max_value=30), max_size=400))

@@ -35,7 +35,7 @@ from repro.mem.lru import ActiveInactiveLRU
 from repro.mem.page import PageKind, PageOp
 from repro.simcore import Simulator
 from repro.swap import SwapConfig, SwapExecutor
-from repro.swap.plan import ExecutionPlan, plannable
+from repro.swap.plan import ExecutionPlan
 from repro.swap.replay import REPLAY_ENV, classify_span
 from repro.trace import fuse
 from repro.trace.schema import make_trace
@@ -280,28 +280,50 @@ def test_hybrid_passes_page_conservation():
     hex_.assert_page_conservation()
 
 
-# ---------------------------------------------------- batch eligibility edges
-def test_dead_windows_keep_pure_batch():
-    """A plan whose every window has already elapsed can never perturb the
-    run, so it keeps *pure* batch eligibility (no hybrid planner)."""
-    trace = _build_trace(10, 8000, 150)
-    # module start-up costs put sim.now ~0.9 at run start; [0, 0.01) is dead
-    windows = [LatencyFault(start=0.0, duration=0.01, factor=50.0)]
-    saved = os.environ.get(REPLAY_ENV)
-    os.environ[REPLAY_ENV] = "batch"
-    try:
-        sim, executor, _ = _stack(windows, trace)
-        assert sim.now > 0.01  # the window really is in the past
-        assert not executor._fault_injected()
-        assert executor._batch_eligible()
-        res = executor.run(trace)
-        assert executor.execution_plan is None  # pure batch path taken
-    finally:
-        if saved is None:
-            os.environ.pop(REPLAY_ENV, None)
-        else:
-            os.environ[REPLAY_ENV] = saved
-    ev, _, _ = _run_mode("event", windows, trace)
+# ------------------------------------------------------------ engine dispatch
+def _engine_ran(executor):
+    """The engine of the executor's last run, read off what it leaves:
+    the hybrid planner records an execution plan, the event loop samples
+    progress every few hundred accesses, batch replay does neither."""
+    if executor.execution_plan is not None:
+        return "hybrid"
+    return "event" if len(executor.progress) else "batch"
+
+
+@pytest.mark.parametrize("stack,engine", [
+    ("empty_plan", "batch"),
+    ("dead_window", "batch"),
+    ("live_window", "hybrid"),
+    ("far_future_window", "hybrid"),
+    ("failover_attached", "hybrid"),
+    ("warm_stack", "event"),
+])
+def test_dispatch_picks_engine_per_stack(stack, engine, monkeypatch):
+    """Cold and hazard-free runs batch, cold runs with hazards plan, warm
+    runs walk the event loop; every engine matches the event counters."""
+    trace = _build_trace(12, 4000, 100)
+    t0, T = _clock_span(trace)
+    windows = {
+        # module start-up puts sim.now ~0.9 at run start: [0, 0.01) is dead
+        "dead_window": [LatencyFault(start=0.0, duration=0.01, factor=50.0)],
+        "live_window": [LatencyFault(start=t0 + 0.3 * T, duration=0.2 * T,
+                                     factor=5.0)],
+        "far_future_window": [LatencyFault(start=1e6, duration=10.0,
+                                           factor=50.0)],
+    }.get(stack, [])
+    failover = stack == "failover_attached"
+    monkeypatch.setenv(REPLAY_ENV, "batch")
+    _, executor, _ = _stack(windows, trace, failover=failover)
+    if stack == "warm_stack":
+        executor.run(trace)
+        assert _engine_ran(executor) == "batch"
+    res = executor.run(trace)
+    assert _engine_ran(executor) == engine
+    monkeypatch.setenv(REPLAY_ENV, "event")
+    _, reference, _ = _stack(windows, trace, failover=failover)
+    if stack == "warm_stack":
+        reference.run(trace)
+    ev = reference.run(trace)
     for counter in COUNTERS:
         assert getattr(res, counter) == getattr(ev, counter), counter
 
@@ -315,16 +337,6 @@ def test_far_future_windows_run_hybrid_all_batch():
     hyb, ev, hex_, _ = _assert_equivalent(windows, trace)
     plan = hex_.execution_plan
     assert plan.event_access_fraction == 0.0
-
-
-def test_live_windows_force_hybrid_eligibility():
-    trace = _build_trace(12, 4000, 100)
-    sim, executor, _ = _stack(
-        [LatencyFault(start=1e3, duration=1.0, factor=2.0)], trace)
-    assert executor._fault_injected()
-    assert not executor._batch_eligible()
-    assert executor._hybrid_eligible()
-    assert plannable(executor)
 
 
 # --------------------------------------------------- seam-state handoff (hyp)

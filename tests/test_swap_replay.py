@@ -178,7 +178,7 @@ def test_replay_run_requires_consistent_classification():
     """replay_run applied twice would double-adopt far pages."""
     trace = _build_trace(11, 2000, 150, "uniform")
     _, executor = _run_mode(trace, 40, "batch")
-    assert not executor._batch_eligible()  # warm now
+    assert executor._engine() == "event"  # warm now
 
 
 # -- classification cache ----------------------------------------------------

@@ -26,9 +26,11 @@ from hypothesis import strategies as st
 from repro.devices import BackendKind
 from repro.devices.registry import make_device
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan, FaultyDevice, LatencyFault
 from repro.mem.page import PageOp
 from repro.simcore import Simulator
 from repro.swap.executor import make_contended_executors, run_tenants
+from repro.swap import replay as replay_mod
 from repro.swap.replay import REPLAY_ENV, replay_run_multi
 from repro.topology.pcie import PCIeSwitch
 from repro.trace.schema import make_trace
@@ -62,13 +64,17 @@ def _tenant_traces(n_tenants, seed0=0, n=4000, distinct=300):
 
 
 def _run_mt(traces, mode, kind=BackendKind.SSD, local_pages=90, solver=None,
-            sanitize=False, switch=False):
+            sanitize=False, switch=False, faulty=False):
     saved = os.environ.get(REPLAY_ENV)
     os.environ[REPLAY_ENV] = mode
     try:
         sim = Simulator(sanitize=sanitize)
         sw = PCIeSwitch(sim) if switch else None
         device = make_device(sim, kind, switch=sw)
+        if faulty:
+            # the window has elapsed once module start-up advanced the clock
+            device = FaultyDevice(device, FaultPlan(
+                [LatencyFault(start=0.0, duration=1e-3, factor=4.0)], seed=5))
         executors = make_contended_executors(
             sim, device, kind, len(traces), local_pages=local_pages
         )
@@ -113,6 +119,23 @@ def test_mt_sweep_backends_tenants_distributions(kind, n_tenants):
     through all three access distributions."""
     traces = _tenant_traces(n_tenants, seed0=10 * n_tenants)
     _assert_mt_equivalent(traces, kind=kind)
+
+
+@pytest.mark.parametrize("n_tenants", [2, 4])
+def test_mt_sweep_faulty_device_without_live_window(n_tenants, monkeypatch):
+    """A fault wrapper with no live window is a healthy-time no-op, so the
+    contended group takes the fluid solver, not the windowed DES."""
+    calls = []
+    fluid = replay_mod._fluid_phase2
+
+    def spy(sim, plans):
+        calls.append(len(plans))
+        return fluid(sim, plans)
+
+    monkeypatch.setattr(replay_mod, "_fluid_phase2", spy)
+    traces = _tenant_traces(n_tenants, seed0=100 + n_tenants)
+    _assert_mt_equivalent(traces, faulty=True)
+    assert calls == [n_tenants]
 
 
 def test_single_tenant_fluid_matches_per_access_loop():
@@ -198,7 +221,7 @@ def test_mt_warm_tenant_falls_back_to_event_loop():
             executors = make_contended_executors(
                 sim, device, BackendKind.SSD, 2, local_pages=60
             )
-            # warm up tenant 0 so _batch_eligible() fails for it
+            # warm up tenant 0 so it can no longer batch
             os.environ[REPLAY_ENV] = "event"
             executors[0].run(_build_trace(7, 800, 100, "zipf"))
             os.environ[REPLAY_ENV] = mode

@@ -44,9 +44,10 @@ def test_tuner_reproduces_grid_outputs(name, monkeypatch):
     assert strip(model.metrics) == strip(grid.metrics)
     floor = REDUCTION_FLOOR.get(name)
     if floor is not None:
-        assert model.metrics["tune_runs"] > 0
-        reduction = model.metrics["tune_grid_runs"] / model.metrics["tune_runs"]
-        assert reduction >= floor, (name, model.metrics)
+        ledger = {**model.metrics, **model.telemetry}
+        assert ledger["tune_runs"] > 0
+        reduction = ledger["tune_grid_runs"] / ledger["tune_runs"]
+        assert reduction >= floor, (name, ledger)
     # console-mediated experiments: the shared ledger shows the same story
     if name not in ("fig19",):
         stats = model_ctx.console.stats
@@ -106,7 +107,7 @@ def test_phase_tuning_reports_gain_and_validation(monkeypatch):
     res = EXPERIMENTS["phase_tuning"](ctx)
     # per-phase consoles never offload less on average than whole-trace
     assert res.metrics["mean_phase_offload_gain"] >= 0.0
-    assert res.metrics["tune_replay_runs"] + res.metrics["tune_replay_cache_hits"] > 0
+    assert res.telemetry["tune_replay_runs"] + res.telemetry["tune_replay_cache_hits"] > 0
     # the experiment isolates its ledger from the shared console
     assert ctx.console.stats.runs == 0
     # one "all" row per tenant plus one row per phase
