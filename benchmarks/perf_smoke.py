@@ -60,11 +60,13 @@ Three suites, selected with ``--suite``:
 ``tune``
     The cost-model-driven tuner vs the exhaustive grid reference on the
     decision layer: every (workload, backend) console configuration and
-    (workload, backend, SLO) offload search runs under both
-    ``REPRO_TUNE`` modes, plus the Fig 19 MBE threshold search on an
-    Alibaba-like trace.  The two modes must choose identical
-    configurations (verified while timing — a divergence aborts the
-    bench); the report records both ledgers and wall times.  Writes
+    (workload, backend, SLO) offload search runs on both the tuner
+    console and the reference ``GridConsole`` of
+    ``tests/tune_reference.py`` (imported from the repo root), plus the
+    Fig 19 MBE threshold search on an Alibaba-like trace.  The two must
+    choose identical configurations (verified while timing — a
+    divergence aborts the bench); the report records both ledgers and
+    wall times.  Writes
     ``BENCH_tune.json``.  ``--check`` fails (exit 1) unless the tuner's
     simulated-run reduction clears :data:`TUNE_REDUCTION_FLOOR`, its wall
     time beats the grid's (same-machine relative numbers), and the
@@ -104,6 +106,9 @@ import time
 import numpy as np
 
 from repro.mem.reuse import _reuse_distances_fenwick, _warm_distances_vector
+
+#: the repo root, so the tune suite can import the test-support oracle
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: --check fails when batch accesses/s drops below (1 - this) x baseline.
 REGRESSION_TOLERANCE = 0.25
@@ -480,17 +485,15 @@ _TUNE_SLOS = (1.2, 1.8)
 _TUNE_SCALE = 0.25
 
 
-def _tune_decisions(mode: str, scale: float):
-    """Every console decision of the suite under one REPRO_TUNE mode.
+def _tune_decisions(console_cls, scale: float):
+    """Every console decision of the suite on one console class.
 
-    Returns (decisions, ledger snapshot, wall seconds).  Features and
-    compute times are resolved before the timer starts so the comparison
-    times only the decision layer.
+    Returns (decisions, console, wall seconds).  Features and compute
+    times are resolved before the timer starts so the comparison times
+    only the decision layer.
     """
-    from repro.core.console import SmartConsole
     from repro.devices.registry import BackendKind, make_device
     from repro.simcore import Simulator
-    from repro.tune.search import TUNE_ENV
     from repro.workloads import TABLE_V
 
     inputs = []
@@ -503,8 +506,7 @@ def _tune_decisions(mode: str, scale: float):
             device = make_device(Simulator(), BackendKind(bname))
             inputs.append((wname, bname, f, compute, par, device))
 
-    os.environ[TUNE_ENV] = mode
-    console = SmartConsole()
+    console = console_cls()
     decisions = []
     t0 = time.perf_counter()
     for wname, bname, f, compute, par, device in inputs:
@@ -516,48 +518,44 @@ def _tune_decisions(mode: str, scale: float):
                                   f, device, compute, slo,
                                   fault_parallelism=par)))
     seconds = time.perf_counter() - t0
-    return decisions, console.stats.snapshot(), seconds
+    return decisions, console, seconds
 
 
-def _tune_mbe(mode: str):
-    """The Fig 19 MBE threshold search under one REPRO_TUNE mode."""
-    from repro.cluster import alibaba_like_trace, mbe_improvement_grid
-    from repro.cluster.mbe import best_thresholds, mbe_cell, tuned_thresholds
+def _tune_mbe(search):
+    """The Fig 19 MBE threshold search with one ``tuned_thresholds``-like
+    search; returns ((alpha, beta, peak), cells priced, wall seconds)."""
+    from repro.cluster import alibaba_like_trace
+    from repro.cluster.mbe import mbe_cell
 
     thresholds = np.round(np.linspace(0.1, 0.9, 17), 3)
     trace = alibaba_like_trace(2018, n_machines=800, n_snapshots=8, seed=0)
     u = trace.utilization
-    n_cells = sum(1 for a in thresholds for b in thresholds if b >= a)
     t0 = time.perf_counter()
-    if mode == "grid":
-        # the exhaustive reference prices the upper triangle twice: once
-        # for the contour surface, once inside best_thresholds
-        mbe_improvement_grid(u, thresholds, thresholds)
-        a, b, peak = best_thresholds(u, thresholds, thresholds)
-        evals = 2 * n_cells
-    else:
-        diag = [mbe_cell(u, float(t), float(t)) for t in thresholds]
-        a, b, peak, climb = tuned_thresholds(u, thresholds, thresholds,
-                                             diagonal=diag)
-        evals = len(diag) + climb
+    # fig19 prints the diagonal, and seeds the search with it
+    diag = [mbe_cell(u, float(t), float(t)) for t in thresholds]
+    a, b, peak, evals = search(u, thresholds, thresholds, diagonal=diag)
     seconds = time.perf_counter() - t0
-    return (a, b, peak), evals, seconds
+    return (a, b, peak), len(diag) + evals, seconds
 
 
 def bench_tune(repeats: int) -> dict:
     """Tuner vs grid on the decision layer, identical-choice verified."""
+    from repro.cluster.mbe import tuned_thresholds
+    from repro.core.console import SmartConsole
+
+    sys.path.insert(0, _REPO_ROOT)
+    from tests.tune_reference import GridConsole, grid_thresholds
+
     grid_dec = tuner_dec = None
-    grid_stats = tuner_stats = None
+    grid = tuner = None
     grid_best = tuner_best = None
     for _ in range(repeats):
-        dec, stats, seconds = _tune_decisions("grid", _TUNE_SCALE)
+        grid_dec, grid, seconds = _tune_decisions(GridConsole, _TUNE_SCALE)
         if grid_best is None or seconds < grid_best:
             grid_best = seconds
-        grid_dec, grid_stats = dec, stats
-        dec, stats, seconds = _tune_decisions("model", _TUNE_SCALE)
+        tuner_dec, tuner, seconds = _tune_decisions(SmartConsole, _TUNE_SCALE)
         if tuner_best is None or seconds < tuner_best:
             tuner_best = seconds
-        tuner_dec, tuner_stats = dec, stats
     diverged = [
         (w, b, tag) for (w, b, tag, got), (_, _, _, want)
         in zip(tuner_dec, grid_dec) if got != want
@@ -565,13 +563,14 @@ def bench_tune(repeats: int) -> dict:
     if diverged:
         raise AssertionError(f"tuner/grid decision divergence on: {diverged}")
 
-    grid_peak, grid_cells, grid_mbe_s = _tune_mbe("grid")
-    tuner_peak, tuner_cells, tuner_mbe_s = _tune_mbe("model")
+    grid_peak, grid_cells, grid_mbe_s = _tune_mbe(grid_thresholds)
+    tuner_peak, tuner_cells, tuner_mbe_s = _tune_mbe(tuned_thresholds)
     if tuner_peak != grid_peak:
         raise AssertionError(
             f"tuner/grid MBE peak divergence: {tuner_peak} != {grid_peak}"
         )
 
+    stats = tuner.stats
     return {
         **_report_meta("tune"),
         "reduction_floor": TUNE_REDUCTION_FLOOR,
@@ -582,16 +581,15 @@ def bench_tune(repeats: int) -> dict:
             "scale": _TUNE_SCALE,
             "n_decisions": len(tuner_dec),
             "configs_identical": True,
-            "grid": {"runs": grid_stats["runs"],
-                     "scalar_runs": grid_stats["scalar_runs"],
+            "grid": {"runs": grid.scalar_runs,
+                     "scalar_runs": grid.scalar_runs,
                      "seconds": round(grid_best, 4)},
-            "tuner": {"runs": tuner_stats["runs"],
-                      "batches": tuner_stats["batches"],
-                      "model_points": tuner_stats["model_points"],
+            "tuner": {"runs": stats.runs,
+                      "batches": stats.batches,
+                      "model_points": stats.model_points,
                       "seconds": round(tuner_best, 4)},
-            "grid_runs": tuner_stats["grid_runs"],
-            "reduction": round(tuner_stats["grid_runs"]
-                               / max(1, tuner_stats["runs"]), 1),
+            "grid_runs": stats.grid_runs,
+            "reduction": round(stats.reduction(), 1),
         },
         "mbe": {
             "peaks_identical": True,

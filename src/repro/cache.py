@@ -14,7 +14,9 @@ bumping any version changes every digest, so stale entries are simply
 never looked up again (``repro cache clear`` reclaims the space).
 
 Writes are atomic (temp file + ``os.replace``); a corrupted or truncated
-entry is treated as a miss, deleted, and regenerated.
+entry, or one whose layout drifted without a version bump, is counted as
+a miss, deleted, reported on stderr, and regenerated.  Any other error
+while loading propagates.
 
 Environment knobs::
 
@@ -28,7 +30,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
+import zipfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -65,6 +69,10 @@ _LAYOUT = "v1"
 
 #: process-local hit/miss counters, reported by the experiment runner
 _stats = {"hits": 0, "misses": 0}
+
+#: what loading a truncated, garbled or drifted entry raises (a missing
+#: array is ``KeyError``); anything else is a bug and propagates
+_CORRUPT = (zipfile.BadZipFile, ValueError, EOFError, OSError, KeyError)
 
 
 def cache_enabled() -> bool:
@@ -147,19 +155,25 @@ def _store(artifact: str, key: dict, arrays: dict) -> None:
     )
 
 
-def _load(artifact: str, key: dict, names: tuple[str, ...]) -> dict | None:
+def _load(artifact: str, key: dict, names: tuple[str, ...], check=None) -> dict | None:
+    """The entry's arrays, or None on a miss.  ``check(arrays)`` raises
+    ``ValueError`` when the loaded arrays do not fit the current layout."""
     path = _entry_path(artifact, key)
     try:
         with np.load(path, allow_pickle=False) as npz:
             out = {name: npz[name] for name in names}
+        if check is not None:
+            check(out)
     except FileNotFoundError:
         _stats["misses"] += 1
         return None
-    except Exception:
-        # truncated/garbled entry: drop it and regenerate
+    except _CORRUPT as exc:
+        # drop the entry so the caller regenerates it
         path.unlink(missing_ok=True)
         path.with_suffix(".json").unlink(missing_ok=True)
         _stats["misses"] += 1
+        print(f"repro cache: dropped {artifact} entry {path.name}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return None
     _stats["hits"] += 1
     return out
@@ -174,13 +188,16 @@ def store_trace(spec, scale: float, seed: int | None, trace: PageTrace) -> None:
 
 def load_trace(spec, scale: float, seed: int | None) -> PageTrace | None:
     """Load a synthesized trace, or None on a miss."""
-    arrays = _load("trace", trace_key(spec, scale, seed), ("trace",))
+    arrays = _load("trace", trace_key(spec, scale, seed), ("trace",), _check_trace)
     if arrays is None:
         return None
-    data = arrays["trace"]
-    if data.dtype != TRACE_DTYPE:  # layout drift without a version bump
-        return None
-    return PageTrace(np.ascontiguousarray(data))
+    return PageTrace(np.ascontiguousarray(arrays["trace"]))
+
+
+def _check_trace(arrays: dict) -> None:
+    dtype = arrays["trace"].dtype
+    if dtype != TRACE_DTYPE:  # layout drift without a version bump
+        raise ValueError(f"trace dtype {dtype} is not {TRACE_DTYPE}")
 
 
 # -- fused features ----------------------------------------------------------

@@ -288,7 +288,7 @@ def _print_tune_trace(candidates, stats) -> None:
                   f"{' *' if c.chosen else ''}")
     s = stats.snapshot()
     print(f"simulated runs: {s['runs']} ({s['batches']} batches pricing "
-          f"{s['model_points']} points, {s['scalar_runs']} scalar) "
+          f"{s['model_points']} points, {s['replay_runs']} replays) "
           f"vs grid reference {s['grid_runs']} — {stats.reduction():.1f}x fewer")
 
 

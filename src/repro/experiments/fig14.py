@@ -27,6 +27,7 @@ from repro.devices import BackendKind, make_device
 from repro.experiments.context import ExperimentContext
 from repro.experiments.tables import ExperimentResult
 from repro.swap import SwapPathModel
+from repro.tune.search import slo_bisection
 from repro.units import GBps
 
 __all__ = ["run", "SYSTEMS", "RATIO_SLO", "MIN_RATIO"]
@@ -68,21 +69,14 @@ def _tmo_model(ctx: ExperimentContext, name: str) -> SwapPathModel:
 
 def appropriate_ratio(ctx: ExperimentContext, name: str) -> float:
     """The per-workload ratio every system runs at (TMO-sustainable)."""
-    model = _tmo_model(ctx, name)
     compute = ctx.compute_time(name)
     cfg = TMO.swap_config(BackendKind.SSD)
-    budget = compute * RATIO_SLO
-    best = 0.0
-    lo, hi = 0.0, 0.9
-    for _ in range(10):
-        mid = (lo + hi) / 2
-        cost = model.cost(model.local_pages_for(mid), cfg)
-        if compute + cost.stall_time <= budget:
-            best = mid
-            lo = mid
-        else:
-            hi = mid
-    return max(MIN_RATIO, best)
+    # the tuner's bisection on a one-point lattice: TMO's config
+    found = slo_bisection(
+        _tmo_model(ctx, name), cfg, [cfg.granularity], [cfg.io_width],
+        compute_time=compute, budget=compute * RATIO_SLO, max_ratio=0.9, steps=10,
+    )
+    return max(MIN_RATIO, found[0] if found is not None else 0.0)
 
 
 def _throughput(ctx: ExperimentContext, name: str, system: str, ratio: float) -> float:

@@ -11,9 +11,9 @@ up to 54% local-memory pressure reduction over the baselines.
 from __future__ import annotations
 
 from repro.devices import BackendKind
-from repro.errors import ConfigurationError
 from repro.experiments.context import ExperimentContext
 from repro.experiments.tables import ExperimentResult
+from repro.tune.search import slo_bisection
 
 __all__ = ["run", "SLOS", "baseline_max_offload"]
 
@@ -22,22 +22,15 @@ SLOS = (1.2, 1.4, 1.6, 1.8)
 
 def baseline_max_offload(ctx: ExperimentContext, name: str, kind: BackendKind, slo: float) -> float:
     """Largest ratio meeting the SLO under the baseline's fixed config."""
-    w = ctx.workload(name)
     baseline = ctx.baseline_for(kind)
-    model = ctx.model(name, kind)
     compute = ctx.compute_time(name)
     cfg = baseline.swap_config(kind)
-    budget = compute * slo
-    best = 0.0
-    lo, hi = 0.0, 0.9
-    for _ in range(12):
-        mid = (lo + hi) / 2
-        cost = model.cost(model.local_pages_for(mid), cfg)
-        if compute + cost.stall_time <= budget:
-            best = mid
-            lo = mid
-        else:
-            hi = mid
+    # the tuner's bisection on a one-point lattice: the baseline's config
+    found = slo_bisection(
+        ctx.model(name, kind), cfg, [cfg.granularity], [cfg.io_width],
+        compute_time=compute, budget=compute * slo, max_ratio=0.9,
+    )
+    best = found[0] if found is not None else 0.0
     return best * baseline.offload_aggressiveness
 
 

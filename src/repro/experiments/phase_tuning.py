@@ -14,8 +14,8 @@ zero replays.
 
 Reported per (tenant, phase): the chosen ratio/granularity/width, the
 predicted stall, and — per tenant — the offload gained over the
-whole-trace decision.  ``tune_*`` metrics carry the simulated-run ledger
-(grid-equivalent vs spent) plus the replay validation counts.
+whole-trace decision.  ``tune_*`` telemetry carries the simulated-run
+ledger (grid-equivalent vs spent) plus the replay validation counts.
 """
 
 from __future__ import annotations
@@ -105,12 +105,9 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     finally:
         ctx.console.stats = saved
     mean_phase_gain /= len(tenants)
-    metrics = {
-        "mean_phase_offload_gain": mean_phase_gain,
-        "tune_grid_runs": float(stats.grid_runs),
-    }
     # cache hits replace tuner runs: these differ between cold and warm
     telemetry = {
+        "tune_grid_runs": float(stats.grid_runs),
         "tune_runs": float(stats.runs),
         "tune_reduction": stats.reduction(),
         "tune_replay_runs": float(stats.replay_runs),
@@ -122,7 +119,7 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
         headers=["tenant", "phase", "fm_ratio", "granularity_pages", "io_width",
                  "stall_time"],
         rows=rows,
-        metrics=metrics,
+        metrics={"mean_phase_offload_gain": mean_phase_gain},
         telemetry=telemetry,
         notes="phase-local consoles offload more than one whole-trace config; "
               "tuner makes the (tenant x phase) sweep affordable",

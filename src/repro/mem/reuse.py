@@ -92,7 +92,7 @@ def reuse_histogram(pages: np.ndarray) -> tuple[np.ndarray, int, int]:
     """
     pages = _validated(pages)
     n = pages.shape[0]
-    warm = _warm_distances_vector(pages)
+    _, warm = _warm_distances_vector(pages)
     hist = np.bincount(warm) if warm.size else np.zeros(1, dtype=np.int64)
     return hist, n - int(warm.size), n
 
@@ -192,34 +192,25 @@ def _left_inversions(s: np.ndarray, n: int) -> np.ndarray:
     return invW[:w]
 
 
-def _warm_distances_vector(pages: np.ndarray) -> np.ndarray:
-    """Distances of warm accesses only, in access order (no COLD entries)."""
+def _warm_distances_vector(pages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, distances) of the warm accesses, in access order."""
     n = pages.shape[0]
     if n == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if 2 * n.bit_length() > 62:  # packed keys would overflow int64
         distances = _reuse_distances_fenwick(pages)
-        return distances[distances != COLD]
+        warm = np.flatnonzero(distances != COLD)
+        return warm, distances[warm]
     prev = _prev_occurrence(pages, n)
     warm = np.flatnonzero(prev >= 0)
-    if warm.size == 0:
-        return np.empty(0, dtype=np.int64)
     s = prev[warm]
-    return (warm - s - 1) - _left_inversions(s, n)
+    return warm, (warm - s - 1) - _left_inversions(s, n)
 
 
 def _reuse_distances_vector(pages: np.ndarray) -> np.ndarray:
-    n = pages.shape[0]
-    out = np.full(n, COLD, dtype=np.int64)
-    if n == 0:
-        return out
-    if 2 * n.bit_length() > 62:
-        return _reuse_distances_fenwick(pages)
-    prev = _prev_occurrence(pages, n)
-    warm = np.flatnonzero(prev >= 0)
-    if warm.size:
-        s = prev[warm]
-        out[warm] = (warm - s - 1) - _left_inversions(s, n)
+    out = np.full(pages.shape[0], COLD, dtype=np.int64)
+    warm, distances = _warm_distances_vector(pages)
+    out[warm] = distances
     return out
 
 

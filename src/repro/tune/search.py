@@ -14,16 +14,15 @@ counts as one run.  ``grid_runs`` tracks what the exhaustive reference
 would have burned on the same decisions, so ``reduction()`` is the
 ≥10× headline the `perf-tune` CI job gates.
 
-``REPRO_TUNE=grid`` restores the exhaustive reference everywhere (the
-scalar double loops and full-grid argmax); the default ``model`` mode
-must choose *identical* configurations — asserted per experiment in
+The exhaustive reference (scalar double loops and full-grid argmax)
+lives in ``tests/tune_reference.py`` as a test oracle; the tuner must
+choose *identical* configurations — asserted per experiment in
 ``tests/test_tune_experiments.py``.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,8 +31,6 @@ from repro.swap.pathmodel import SwapConfig, SwapCost, SwapPathModel
 from repro.tune.costmodel import CostBatch, OBJECTIVES, VectorCostModel
 
 __all__ = [
-    "TUNE_ENV",
-    "tune_mode",
     "TuneStats",
     "Candidate",
     "select_config",
@@ -41,32 +38,16 @@ __all__ = [
     "climb_lattice",
 ]
 
-TUNE_ENV = "REPRO_TUNE"
-_MODES = ("model", "grid")
-
-
-def tune_mode() -> str:
-    """Active search mode: ``model`` (tuner, default) or ``grid``."""
-    mode = os.environ.get(TUNE_ENV, "model") or "model"
-    if mode not in _MODES:
-        raise ConfigurationError(
-            f"unknown {TUNE_ENV}={mode!r}; expected one of {_MODES}"
-        )
-    return mode
-
-
 @dataclass
 class TuneStats:
     """Simulated-run ledger for one console / one search.
 
-    ``scalar_runs`` — scalar cost-model calls (the grid reference's unit);
     ``batches``/``model_points`` — vectorized evaluations and the points
     they priced; ``replay_runs``/``replay_cache_hits`` — replay
     validations executed / served from the artifact cache; ``grid_runs`` —
     what the exhaustive reference burns for the same decisions.
     """
 
-    scalar_runs: int = 0
     batches: int = 0
     model_points: int = 0
     replay_runs: int = 0
@@ -76,7 +57,7 @@ class TuneStats:
     @property
     def runs(self) -> int:
         """Simulated runs actually spent (batch ≈ one scalar run)."""
-        return self.scalar_runs + self.batches + self.replay_runs
+        return self.batches + self.replay_runs
 
     def reduction(self) -> float:
         """Grid-reference runs per run actually spent (the ≥10× gate)."""
@@ -84,16 +65,13 @@ class TuneStats:
 
     def add(self, other: "TuneStats") -> None:
         """Accumulate another ledger into this one."""
-        for f in (
-            "scalar_runs", "batches", "model_points",
-            "replay_runs", "replay_cache_hits", "grid_runs",
-        ):
+        for f in ("batches", "model_points", "replay_runs",
+                  "replay_cache_hits", "grid_runs"):
             setattr(self, f, getattr(self, f) + getattr(other, f))
 
     def snapshot(self) -> dict[str, int]:
         """Plain-dict view for experiment metrics / BENCH rows."""
         return {
-            "scalar_runs": self.scalar_runs,
             "batches": self.batches,
             "model_points": self.model_points,
             "replay_runs": self.replay_runs,
@@ -150,18 +128,7 @@ def select_config(
             trace.append(Candidate(g, w, local_pages, float(obj[i]),
                                    "batch", chosen=i == idx))
     g, w = lattice[idx]
-    config = SwapConfig(
-        granularity=g,
-        io_width=w,
-        readahead_pages=template.readahead_pages,
-        max_readahead_pages=template.max_readahead_pages,
-        merge_pages=template.merge_pages,
-        path=template.path,
-        channel=template.channel,
-        co_tenants=template.co_tenants,
-        synchronous_faults=template.synchronous_faults,
-    )
-    return config, batch.cost(idx)
+    return replace(template, granularity=g, io_width=w), batch.cost(idx)
 
 
 def slo_bisection(
@@ -178,10 +145,11 @@ def slo_bisection(
     stats: TuneStats | None = None,
     trace: list[Candidate] | None = None,
 ) -> tuple[float, int, SwapConfig, SwapCost] | None:
-    """Batched twin of the console's SLO binary search on the ratio axis.
+    """Largest ratio in ``[0, max_ratio]`` whose best config meets ``budget``.
 
-    The exhaustive reference runs ``steps`` bisection iterations, each a
-    full scalar lattice sweep at the step's midpoint ratio.  The visited
+    A binary search on the ratio axis.  The exhaustive reference runs
+    ``steps`` bisection iterations, each a full scalar lattice sweep at
+    the step's midpoint ratio.  The visited
     midpoints form a root-to-leaf path in a binary tree over ``(lo, hi)``
     intervals, so the tuner prices the lattice at **every node of the next
     ``chunk`` levels in one vectorized batch**, then walks the path
@@ -198,21 +166,6 @@ def slo_bisection(
     g_arr = np.array([g for g, _ in lattice], dtype=np.int64)
     w_arr = np.array([w for _, w in lattice], dtype=np.int64)
     vcm = VectorCostModel(model, template)
-
-    def make_config(i: int) -> SwapConfig:
-        g, w = lattice[i]
-        return SwapConfig(
-            granularity=g,
-            io_width=w,
-            readahead_pages=template.readahead_pages,
-            max_readahead_pages=template.max_readahead_pages,
-            merge_pages=template.merge_pages,
-            path=template.path,
-            channel=template.channel,
-            co_tenants=template.co_tenants,
-            synchronous_faults=template.synchronous_faults,
-        )
-
     lo, hi = 0.0, max_ratio
     best: tuple[float, int, int, int, CostBatch] | None = None
     remaining = steps
@@ -259,7 +212,8 @@ def slo_bisection(
     if best is None:
         return None
     mid, local_pages, lattice_idx, row, batch = best
-    return mid, local_pages, make_config(lattice_idx), batch.cost(row)
+    g, w = lattice[lattice_idx]
+    return mid, local_pages, replace(template, granularity=g, io_width=w), batch.cost(row)
 
 
 def climb_lattice(

@@ -87,6 +87,54 @@ def test_corrupted_entry_is_dropped_and_regenerated(cache_tmp):
             assert "trace" in npz
 
 
+def _truncate(path, _monkeypatch):
+    path.write_bytes(path.read_bytes()[:64])
+
+
+def _drop_field(path, _monkeypatch):
+    with open(path, "wb") as fh:
+        np.savez(fh, other=np.zeros(4))
+
+
+def _drift_dtype(path, _monkeypatch):
+    with open(path, "wb") as fh:
+        np.savez(fh, trace=np.zeros(4, dtype=np.float32))
+
+
+def _break_loader(_path, monkeypatch):
+    def boom(*_args, **_kwargs):
+        raise RuntimeError("loader bug")
+    monkeypatch.setattr(cache.np, "load", boom)
+
+
+@pytest.mark.parametrize("damage, cause", [
+    (_truncate, "BadZipFile"),
+    (_drop_field, "KeyError"),
+    (_drift_dtype, "ValueError"),
+    (_break_loader, None),  # not corruption: must propagate, entry kept
+])
+def test_bad_entry_is_a_reported_miss(cache_tmp, monkeypatch, capsys, damage, cause):
+    expect = fresh_workload().trace(SCALE, seed=13)
+    (path,) = (cache_tmp / "v1").glob("trace-*.npz")
+    damage(path, monkeypatch)
+    capsys.readouterr()
+    h0, m0 = cache.cache_stats()
+    if cause is None:
+        with pytest.raises(RuntimeError, match="loader bug"):
+            fresh_workload().trace(SCALE, seed=13)
+        assert path.exists()
+        assert cache.cache_stats() == (h0, m0)
+        return
+    again = fresh_workload().trace(SCALE, seed=13)
+    np.testing.assert_array_equal(expect.data, again.data)
+    assert cache.cache_stats() == (h0, m0 + 1)  # a miss, never a hit
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "trace" in err[0] and cause in err[0], err
+    # regenerated in place with a valid payload
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz["trace"].dtype == expect.data.dtype
+
+
 def test_disabled_cache_never_touches_disk(cache_tmp, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE", "0")
     assert not cache.cache_enabled()
